@@ -410,11 +410,6 @@ func (s *Study) Run() (*Result, error) {
 	// Deferred emails (reflection notifications, SMTP episode bursts)
 	// keyed by day index.
 	pending := make(map[int][]*spamfilter.Email)
-	totalPending := 0
-	for _, es := range pending {
-		totalPending += len(es)
-	}
-	allTypoEmails := make([]*spamfilter.Email, 0, totalPending)
 	typoMeta := make(map[*spamfilter.Email]*StudyDomain)
 	// Hand-written one-off scams survive every automated layer; ground
 	// truth lets the run report the contamination the paper's manual
@@ -462,6 +457,11 @@ func (s *Study) Run() (*Result, error) {
 	// Collect materialized typo traffic in landing-day order; emails
 	// landing on outage days are dropped, as the downed infrastructure
 	// would have.
+	totalPending := 0
+	for _, es := range pending {
+		totalPending += len(es)
+	}
+	allTypoEmails := make([]*spamfilter.Email, 0, totalPending)
 	for day := 0; day < s.Cfg.Days; day++ {
 		if s.inOutage(day) {
 			continue

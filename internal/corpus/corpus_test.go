@@ -1,11 +1,14 @@
 package corpus
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/extract"
 	"repro/internal/mailmsg"
+	"repro/internal/par"
 	"repro/internal/sanitize"
 )
 
@@ -223,6 +226,86 @@ func TestTypoEmailSensitivePlanting(t *testing.T) {
 		switch f.Kind {
 		case sanitize.KindCreditCard, sanitize.KindSSN, sanitize.KindVIN:
 			t.Errorf("unplanted %s appeared: %q", f.Kind, f.Match)
+		}
+	}
+}
+
+// freshCampaignMessage is CampaignMessage's construction before campaign
+// templates were memoized: the campaign's content rebuilt from its own
+// stream, then the recipient and Message-Id drawn from the caller's rng.
+func freshCampaignMessage(rng *rand.Rand, campaignID int, evasion float64) *mailmsg.Message {
+	msg := SpamMessage(par.Rand(13, campaignID), evasion)
+	to := PersonAddr(rng, pick(rng, []string{"gmail.com", "hotmail.com", "outlook.com", "yahoo.com"}))
+	msg.SetHeader("To", to)
+	msg.SetHeader("Message-Id", fmt.Sprintf("<c%d-%d@spam.example>", campaignID, rng.Int63()))
+	return msg
+}
+
+// TestCampaignMessageMatchesFreshBuild pins that memoized campaign
+// templates change nothing: for every campaign the collection draws (IDs
+// 0-399 at evasion 0.25) and the ones examples/collection draws (0-9 at
+// 0.2), CampaignMessage serializes exactly as the per-email rebuild and
+// consumes the caller's rng identically. Each returned message is then
+// edited the way callers edit it (To, From, attachment bytes), and a
+// second round must still match — the edits land on a copy, never on
+// the shared template.
+func TestCampaignMessageMatchesFreshBuild(t *testing.T) {
+	type camp struct {
+		id      int
+		evasion float64
+	}
+	var camps []camp
+	for id := 0; id < 400; id++ {
+		camps = append(camps, camp{id, 0.25})
+	}
+	for id := 0; id < 10; id++ {
+		camps = append(camps, camp{id, 0.2})
+	}
+	for round := 0; round < 2; round++ {
+		got, want := rand.New(rand.NewSource(int64(round))), rand.New(rand.NewSource(int64(round)))
+		for _, c := range camps {
+			m := CampaignMessage(got, c.id, c.evasion)
+			ref := freshCampaignMessage(want, c.id, c.evasion)
+			if !bytes.Equal(m.Bytes(), ref.Bytes()) {
+				t.Fatalf("round %d campaign %d evasion %v: CampaignMessage differs from the fresh build", round, c.id, c.evasion)
+			}
+			if got.Int63() != want.Int63() {
+				t.Fatalf("round %d campaign %d: caller rng consumed differently", round, c.id)
+			}
+			m.SetHeader("To", "edited@typo.example")
+			m.SetHeader("From", "admin@typo.example")
+			for i := range m.Attachments {
+				m.Attachments[i].Data[0] ^= 0xFF
+			}
+		}
+	}
+}
+
+// TestCampaignMessageConcurrent shares campaign templates across par
+// workers the way the collection run does: the workers build the
+// templates (an evasion no other test uses) and edit their copies at
+// once, and the output still equals the sequential run's. Run it under -race to check that the template cache and the
+// copies are free of data races.
+func TestCampaignMessageConcurrent(t *testing.T) {
+	defer par.SetWorkers(0)
+	items := make([]int, 400)
+	render := func(workers int) [][]byte {
+		par.SetWorkers(workers)
+		return par.Map(77, items, func(i, _ int, rng *rand.Rand) []byte {
+			m := CampaignMessage(rng, (i*7)%40, 0.3)
+			out := m.Bytes()
+			m.SetHeader("From", "admin@typo.example")
+			for k := range m.Attachments {
+				m.Attachments[k].Data[0] ^= 0xFF
+			}
+			return out
+		})
+	}
+	got := render(8) // first: the workers also race to build the templates
+	ref := render(1)
+	for i := range ref {
+		if !bytes.Equal(got[i], ref[i]) {
+			t.Fatalf("item %d: 8-worker message differs from the sequential run", i)
 		}
 	}
 }

@@ -164,14 +164,41 @@ func SpamMessage(rng *rand.Rand, evasion float64) *mailmsg.Message {
 // a campaign share their body skeleton (same bag of words), which is what
 // Layer 3's collaborative filter keys on.
 func CampaignMessage(rng *rand.Rand, campaignID int, evasion float64) *mailmsg.Message {
-	// Derive the campaign's fixed content from its ID, then randomize only
-	// the recipient and trivial fields.
-	crng := par.Rand(13, campaignID)
-	msg := SpamMessage(crng, evasion)
+	// The campaign's fixed content comes from its ID; only the recipient
+	// and trivial fields are randomized, on a copy of the template.
+	msg := campaignTemplate(campaignID, evasion).Clone()
 	to := PersonAddr(rng, pick(rng, []string{"gmail.com", "hotmail.com", "outlook.com", "yahoo.com"}))
 	msg.SetHeader("To", to)
 	msg.SetHeader("Message-Id", fmt.Sprintf("<c%d-%d@spam.example>", campaignID, rng.Int63()))
 	return msg
+}
+
+type campaignKey struct {
+	id      int
+	evasion float64
+}
+
+// campaignTemplates memoizes each campaign's fixed content. A template
+// is a pure function of (campaign ID, evasion) — SpamMessage over the
+// campaign's own stream — and the collection samples tens of thousands
+// of emails from a pool of a few hundred campaigns, so each template is
+// built once per process instead of once per email. Templates are
+// read-only: CampaignMessage hands out a Clone.
+var (
+	campaignMu        sync.Mutex
+	campaignTemplates = map[campaignKey]*mailmsg.Message{}
+)
+
+func campaignTemplate(id int, evasion float64) *mailmsg.Message {
+	k := campaignKey{id, evasion}
+	campaignMu.Lock()
+	defer campaignMu.Unlock()
+	m, ok := campaignTemplates[k]
+	if !ok {
+		m = SpamMessage(par.Rand(13, id), evasion)
+		campaignTemplates[k] = m
+	}
+	return m
 }
 
 // ScamMessage builds the kind of spam that beats every automated layer:

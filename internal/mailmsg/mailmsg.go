@@ -59,6 +59,29 @@ func New() *Message {
 	return &Message{header: make(map[string][]string)}
 }
 
+// Clone returns a deep copy of m: headers (in the same order) and
+// attachment bytes are copied, so setting headers on or editing the
+// attachments of the copy never reaches m.
+func (m *Message) Clone() *Message {
+	c := &Message{
+		headerKeys: append([]string(nil), m.headerKeys...),
+		header:     make(map[string][]string, len(m.headerKeys)),
+		Body:       m.Body,
+		HTMLBody:   m.HTMLBody,
+	}
+	for _, k := range m.headerKeys {
+		c.header[k] = append([]string(nil), m.header[k]...)
+	}
+	if m.Attachments != nil {
+		c.Attachments = make([]Attachment, len(m.Attachments))
+		for i, a := range m.Attachments {
+			a.Data = append([]byte(nil), a.Data...)
+			c.Attachments[i] = a
+		}
+	}
+	return c
+}
+
 // canonicalKey normalizes header names ("reply-to" -> "Reply-To").
 func canonicalKey(k string) string {
 	if isCanonicalKey(k) {

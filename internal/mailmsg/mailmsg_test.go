@@ -327,3 +327,47 @@ func TestMultipartNestingBounded(t *testing.T) {
 		t.Error("unbounded nesting accepted")
 	}
 }
+
+// TestCloneIndependent pins Clone's contract: the copy serializes
+// byte-identically with the same header order, and no header or
+// attachment edit on the copy reaches the original.
+func TestCloneIndependent(t *testing.T) {
+	b := NewBuilder("a@x.example", "b@y.example", "Hello").Body("body text\n")
+	b.Header("Reply-To", "c@z.example")
+	b.Attach("invoice.zip", "application/octet-stream", []byte{0x50, 0x4B, 0x03, 0x04})
+	b.MessageID("orig@x.example")
+	orig := b.Build()
+	orig.AddHeader("Received", "hop1")
+	orig.AddHeader("Received", "hop2")
+	want := orig.Bytes()
+	wantKeys := fmt.Sprint(orig.HeaderKeys())
+
+	c := orig.Clone()
+	if !bytes.Equal(c.Bytes(), want) {
+		t.Fatal("clone serializes differently from the original")
+	}
+	if got := fmt.Sprint(c.HeaderKeys()); got != wantKeys {
+		t.Fatalf("clone header order %s, want %s", got, wantKeys)
+	}
+
+	c.SetHeader("To", "other@y.example")
+	c.SetHeader("Message-Id", "<copy@x.example>")
+	c.AddHeader("Received", "hop3")
+	c.AddHeader("X-New", "added")
+	c.Attachments[0].Data[0] = 'X'
+	c.Attachments[0].Filename = "renamed.rar"
+	c.Attachments = append(c.Attachments, Attachment{Filename: "extra.pdf", Data: []byte("%PDF")})
+
+	if !bytes.Equal(orig.Bytes(), want) {
+		t.Fatal("editing the clone changed the original")
+	}
+	if got := fmt.Sprint(orig.HeaderKeys()); got != wantKeys {
+		t.Fatalf("original header order %s after editing the clone, want %s", got, wantKeys)
+	}
+	if got := orig.HeaderValues("Received"); len(got) != 2 {
+		t.Fatalf("original Received = %v after AddHeader on the clone", got)
+	}
+	if c.To() != "other@y.example" || c.Header("X-New") != "added" || len(c.HeaderValues("Received")) != 3 {
+		t.Fatal("edits did not land on the clone")
+	}
+}

@@ -9,6 +9,11 @@
 // fan out through this package and still replay bit-for-bit from a seed
 // (the same contract internal/faultnet established per-connection).
 //
+// An item's PRNG lives only as long as its fn call. Each worker owns one
+// *rand.Rand and re-seeds it per item, so the rng must not be kept after
+// fn returns: stored, captured by a goroutine, or read by a later item.
+// What fn draws from it is the stream Rand(seed, index) would give.
+//
 // The pool is safe by construction for the repository's own analyzers:
 // workers are spawned by a bounded counter loop (unboundedspawn's
 // worker-pool exemption), each worker's only blocking operation is
@@ -68,11 +73,13 @@ func Rand(seed int64, index int) *rand.Rand {
 // results in item order. fn receives the item's index, the item, and a
 // PRNG derived from (seed, index); it must not touch shared mutable
 // state. Results are written to distinct slice slots, so no ordering or
-// locking is needed beyond the final join.
+// locking is needed beyond the final join. The rng is valid only until
+// fn returns (its worker re-seeds it for the next item), so it must not
+// be kept after fn returns.
 func Map[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
 	out := make([]R, len(items))
-	run(len(items), func(i int) {
-		out[i] = fn(i, items[i], Rand(seed, i))
+	run(seed, 0, len(items), func(i int, rng *rand.Rand) {
+		out[i] = fn(i, items[i], rng)
 	})
 	return out
 }
@@ -83,11 +90,12 @@ func Map[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand)
 // chunk; because each item's PRNG depends only on (seed, global index),
 // the concatenated chunk outputs are byte-identical to a single
 // Map(seed, all) over the whole sequence — at any chunk size and any
-// worker count. fn receives the GLOBAL index.
+// worker count. fn receives the GLOBAL index. The rng's lifetime is
+// Map's: it must not be kept after fn returns.
 func MapAt[T, R any](seed int64, base int, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
 	out := make([]R, len(items))
-	run(len(items), func(i int) {
-		out[i] = fn(base+i, items[i], Rand(seed, base+i))
+	run(seed, base, len(items), func(i int, rng *rand.Rand) {
+		out[i] = fn(base+i, items[i], rng)
 	})
 	return out
 }
@@ -96,12 +104,13 @@ func MapAt[T, R any](seed int64, base int, items []T, fn func(i int, item T, rng
 // items' failures (items are independent by contract); the returned
 // error is the lowest-index one, so the failure surfaced is the same
 // one a sequential run would have hit first. On error the results of
-// items before the failing index are still valid.
+// items before the failing index are still valid. The rng's lifetime is
+// Map's: it must not be kept after fn returns.
 func MapErr[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	errs := make([]error, len(items))
-	run(len(items), func(i int) {
-		out[i], errs[i] = fn(i, items[i], Rand(seed, i))
+	run(seed, 0, len(items), func(i int, rng *rand.Rand) {
+		out[i], errs[i] = fn(i, items[i], rng)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -112,15 +121,20 @@ func MapErr[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Ra
 }
 
 // run executes do(0..n-1) on min(NumWorkers, n) workers and joins them
-// before returning.
-func run(n int, do func(i int)) {
+// before returning. Each worker owns one PRNG and re-seeds it with
+// SubSeed(seed, base+i) before item i: Rand.Seed resets both the source
+// and the Rand's read buffer, so item i draws exactly what a fresh
+// Rand(seed, base+i) would, without allocating a ~5 KB source per item.
+func run(seed int64, base, n int, do func(i int, rng *rand.Rand)) {
 	w := NumWorkers()
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
+		rng := rand.New(rand.NewSource(0))
 		for i := 0; i < n; i++ {
-			do(i)
+			rng.Seed(SubSeed(seed, base+i))
+			do(i, rng)
 		}
 		return
 	}
@@ -130,8 +144,10 @@ func run(n int, do func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(0))
 			for i := range idx {
-				do(i)
+				rng.Seed(SubSeed(seed, base+i))
+				do(i, rng)
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -177,5 +178,62 @@ func TestMapAtGlobalIndex(t *testing.T) {
 	})
 	if out[0] != 100010 || out[1] != 101020 {
 		t.Fatalf("MapAt global indexes wrong: %v", out)
+	}
+}
+
+// draws records what fn sees from its rng: a short Read (which leaves
+// bytes buffered in the Rand), then 64 each of Int63, Float64 and
+// NormFloat64, then another short Read.
+func draws(rng *rand.Rand) []uint64 {
+	var out []uint64
+	read := func() {
+		b := make([]byte, 3)
+		rng.Read(b)
+		out = append(out, uint64(b[0])|uint64(b[1])<<8|uint64(b[2])<<16)
+	}
+	read()
+	for k := 0; k < 64; k++ {
+		out = append(out, uint64(rng.Int63()))
+	}
+	for k := 0; k < 64; k++ {
+		out = append(out, math.Float64bits(rng.Float64()))
+	}
+	for k := 0; k < 64; k++ {
+		out = append(out, math.Float64bits(rng.NormFloat64()))
+	}
+	read()
+	return out
+}
+
+// TestWorkerRandEqualsFreshRand pins the worker-owned PRNG contract: the
+// rng a worker re-seeds for item i draws exactly what a fresh
+// Rand(seed, base+i) draws, whatever the worker count and window base,
+// and whatever the previous item on that worker left behind.
+func TestWorkerRandEqualsFreshRand(t *testing.T) {
+	const seed = 20160604
+	items := make([]int, 41)
+	for _, w := range []int{1, 2, 8} {
+		for _, base := range []int{0, 37} {
+			var got [][]uint64
+			withWorkers(w, func() {
+				got = MapAt(seed, base, items, func(i, _ int, rng *rand.Rand) []uint64 { return draws(rng) })
+			})
+			for k, g := range got {
+				want := draws(Rand(seed, base+k))
+				if fmt.Sprint(g) != fmt.Sprint(want) {
+					t.Fatalf("workers=%d base=%d item %d: worker rng diverges from Rand(seed, %d)", w, base, k, base+k)
+				}
+			}
+			if base == 0 {
+				var viaMap, viaErr [][]uint64
+				withWorkers(w, func() {
+					viaMap = Map(seed, items, func(_, _ int, rng *rand.Rand) []uint64 { return draws(rng) })
+					viaErr, _ = MapErr(seed, items, func(_, _ int, rng *rand.Rand) ([]uint64, error) { return draws(rng), nil })
+				})
+				if fmt.Sprint(viaMap) != fmt.Sprint(got) || fmt.Sprint(viaErr) != fmt.Sprint(got) {
+					t.Fatalf("workers=%d: Map/MapErr rng differs from MapAt at base 0", w)
+				}
+			}
+		}
 	}
 }
