@@ -15,7 +15,11 @@
 //
 //	benchjson -compare old.json new.json [-threshold 20] [-metric both]
 //
-// Benchmarks are matched by (pkg, name); any whose ns/op or allocs/op
+// Benchmarks are matched by (pkg, base name), the base name being the
+// name without go test's -N GOMAXPROCS suffix, so a baseline recorded on
+// a 2-CPU machine gates a run on a 4-CPU one; two entries sharing a
+// base name in one snapshot (the same benchmark at two -cpu values) are
+// ambiguous and a usage error. Any benchmark whose ns/op or allocs/op
 // grew by more than the threshold percentage prints a REGRESSION line
 // and makes the exit status 1. -metric restricts the judged metrics to
 // "ns", "allocs", or "both" — CI compares allocs only, since alloc
@@ -176,8 +180,36 @@ func readSnapshot(path string) (*Snapshot, error) {
 	return &s, nil
 }
 
+// benchKey identifies a benchmark across snapshots: its package and its
+// base name.
 type benchKey struct {
 	pkg, name string
+}
+
+// baseName strips the -N GOMAXPROCS suffix go test appends to a
+// benchmark name when GOMAXPROCS is not 1.
+func baseName(name string) string {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
+// indexByBase keys a snapshot's benchmarks by (pkg, base name). Two
+// entries sharing a key make the comparison ambiguous: an error, as in
+// findByBaseName.
+func indexByBase(snap *Snapshot, path string) (map[benchKey]Benchmark, error) {
+	idx := make(map[benchKey]Benchmark, len(snap.Benchmarks))
+	for _, b := range snap.Benchmarks {
+		k := benchKey{b.Pkg, baseName(b.Name)}
+		if prev, dup := idx[k]; dup {
+			return nil, fmt.Errorf("%s: %s %s and %s share base name %s", path, b.Pkg, prev.Name, b.Name, k.name)
+		}
+		idx[k] = b
+	}
+	return idx, nil
 }
 
 // runCompare judges new against old and reports regressions beyond the
@@ -205,15 +237,20 @@ func runCompare(oldPath, newPath string, threshold float64, metric string, stdou
 		return 2
 	}
 
-	olds := make(map[benchKey]Benchmark, len(oldSnap.Benchmarks))
-	for _, b := range oldSnap.Benchmarks {
-		olds[benchKey{b.Pkg, b.Name}] = b
+	olds, err := indexByBase(oldSnap, oldPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 2
+	}
+	if _, err := indexByBase(newSnap, newPath); err != nil {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 2
 	}
 
 	regressions, compared := 0, 0
 	seen := make(map[benchKey]bool)
 	for _, nb := range newSnap.Benchmarks {
-		k := benchKey{nb.Pkg, nb.Name}
+		k := benchKey{nb.Pkg, baseName(nb.Name)}
 		seen[k] = true
 		ob, ok := olds[k]
 		if !ok {
@@ -259,7 +296,7 @@ func runCompare(oldPath, newPath string, threshold float64, metric string, stdou
 	}
 	removed := 0
 	for _, ob := range oldSnap.Benchmarks {
-		if !seen[benchKey{ob.Pkg, ob.Name}] {
+		if !seen[benchKey{ob.Pkg, baseName(ob.Name)}] {
 			removed++
 			fmt.Fprintf(stdout, "REMOVED    %s %s (in baseline, not in new run)\n", ob.Pkg, ob.Name)
 		}
@@ -320,13 +357,7 @@ func parseRequire(s string) ([]requirement, error) {
 func findByBaseName(snap *Snapshot, name string) (Benchmark, error) {
 	var found []Benchmark
 	for _, b := range snap.Benchmarks {
-		base := b.Name
-		if i := strings.LastIndex(base, "-"); i > 0 {
-			if _, err := strconv.Atoi(base[i+1:]); err == nil {
-				base = base[:i]
-			}
-		}
-		if base == name || b.Name == name {
+		if baseName(b.Name) == name || b.Name == name {
 			found = append(found, b)
 		}
 	}

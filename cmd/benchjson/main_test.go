@@ -435,3 +435,49 @@ func TestCompareUsageErrors(t *testing.T) {
 		t.Fatal("unreadable files must exit 2")
 	}
 }
+
+// TestCompareMatchesAcrossCPUCounts pins that -compare pairs entries by
+// base name: a baseline recorded at GOMAXPROCS=2 gates a run recorded at
+// GOMAXPROCS=4 entry by entry, and a benchmark missing from the new run
+// still fails the gate.
+func TestCompareMatchesAcrossCPUCounts(t *testing.T) {
+	dir := t.TempDir()
+	old := writeSnap(t, dir, "old.json",
+		bench("repro", "BenchmarkStudyThroughput-2", 1000, 10),
+		bench("repro/internal/lint", "BenchmarkRepolintTypestate/warm-2", 1000, 10))
+	cur := writeSnap(t, dir, "new.json",
+		bench("repro", "BenchmarkStudyThroughput-4", 1000, 11),
+		bench("repro/internal/lint", "BenchmarkRepolintTypestate/warm-4", 1000, 10))
+	code, out, errOut := runArgs(t, "-compare", "-metric", "allocs", old, cur)
+	if code != 0 || !strings.Contains(errOut, "compared 2 benchmark(s), 0 regression(s)") {
+		t.Fatalf("-2 baseline vs -4 run: exit %d\n%s%s", code, out, errOut)
+	}
+	regressed := writeSnap(t, dir, "regressed.json",
+		bench("repro", "BenchmarkStudyThroughput-4", 1000, 50),
+		bench("repro/internal/lint", "BenchmarkRepolintTypestate/warm-4", 1000, 10))
+	code, out, _ = runArgs(t, "-compare", "-metric", "allocs", old, regressed)
+	if code != 1 || !strings.Contains(out, "REGRESSION repro BenchmarkStudyThroughput-4 allocs/op 10 -> 50") {
+		t.Fatalf("a regression across CPU counts must fail the gate: exit %d\n%s", code, out)
+	}
+	removed := writeSnap(t, dir, "removed.json", bench("repro", "BenchmarkStudyThroughput-4", 1000, 10))
+	code, out, _ = runArgs(t, "-compare", "-metric", "allocs", old, removed)
+	if code != 1 || !strings.Contains(out, "REMOVED    repro/internal/lint BenchmarkRepolintTypestate/warm-2") {
+		t.Fatalf("a removed benchmark must still fail the gate: exit %d\n%s", code, out)
+	}
+}
+
+// TestCompareAmbiguousBaseName pins that one snapshot holding the same
+// benchmark at two CPU counts is a usage error, not a silent pick.
+func TestCompareAmbiguousBaseName(t *testing.T) {
+	dir := t.TempDir()
+	one := writeSnap(t, dir, "one.json", bench("repro", "BenchmarkX-2", 1000, 10))
+	two := writeSnap(t, dir, "two.json",
+		bench("repro", "BenchmarkX", 1000, 10),
+		bench("repro", "BenchmarkX-2", 1000, 10))
+	for _, args := range [][]string{{one, two}, {two, one}} {
+		code, _, errOut := runArgs(t, append([]string{"-compare"}, args...)...)
+		if code != 2 || !strings.Contains(errOut, "share base name BenchmarkX") {
+			t.Fatalf("ambiguous base name %v: exit %d, want 2\n%s", args, code, errOut)
+		}
+	}
+}

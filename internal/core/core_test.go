@@ -432,7 +432,7 @@ func TestSampleCountProportional(t *testing.T) {
 		total := 0
 		const trials = 20000
 		for i := 0; i < trials; i++ {
-			total += sampleCount(rng, volume, divisor)
+			total += sampleCount(volume, divisor, rng.Float64())
 		}
 		got := float64(total) / trials
 		want := float64(volume) / divisor

@@ -15,7 +15,7 @@ import (
 func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 // streamSink receives the chunked run's two ordered event streams:
-// onUnit fires once per generation unit in global unit order (the exact
+// onUnit fires once per generated unit in global unit order (the exact
 // order Run's sequential merge appends in), onDay fires once per
 // non-outage day in day order with that day's traffic already stably
 // sorted by Received — which is the same order the materialized path's
@@ -34,7 +34,12 @@ type streamSink struct {
 // final once generation has moved past it). The pending queue bounds the
 // working set; with a spill dir it stays bounded even when episodes
 // trail their cause by many days.
-func (s *Study) streamChunks(q *pendQueue, sink streamSink) error {
+//
+// With typoOnly set, a chunk regenerates only the units that ledger
+// flags as having scheduled typo traffic in pass one, and only their typo half
+// (generateTypo); par.MapSparse keeps each on its own sub-stream, and
+// onUnit fires for those units alone. Units left out are never seeded.
+func (s *Study) streamChunks(q *pendQueue, typoOnly *unitLedger, sink streamSink) error {
 	start := simclock.CollectionStart
 	chunkDays := s.Cfg.StreamChunkDays
 	if chunkDays <= 0 {
@@ -43,14 +48,33 @@ func (s *Study) streamChunks(q *pendQueue, sink streamSink) error {
 	seed := par.SubSeed(s.Cfg.Seed, streamGenUnits)
 	base, drained := 0, 0
 	chunk := make([]genUnit, 0, chunkDays*len(s.Domains))
+	var keys []int
+	var sparse []genUnit
 	flush := func(upTo int) error {
 		if len(chunk) > 0 {
-			outs := par.MapAt(seed, base, chunk,
-				func(_ int, u genUnit, rng *rand.Rand) unitResult {
-					return s.generateUnit(u, rng, start)
-				})
-			for k := range chunk {
-				if err := sink.onUnit(chunk[k], &outs[k]); err != nil {
+			units := chunk
+			var outs []unitResult
+			if typoOnly == nil {
+				outs = par.MapAt(seed, base, chunk,
+					func(_ int, u genUnit, rng *rand.Rand) unitResult {
+						return s.generateUnit(u, rng, start)
+					})
+			} else {
+				keys, sparse = keys[:0], sparse[:0]
+				for k, u := range chunk {
+					if typoOnly.hasTypo(base + k) {
+						keys = append(keys, base+k)
+						sparse = append(sparse, u)
+					}
+				}
+				units = sparse
+				outs = par.MapSparse(seed, keys, sparse,
+					func(_ int, u genUnit, rng *rand.Rand) unitResult {
+						return s.generateTypo(u, rng, start)
+					})
+			}
+			for k := range units {
+				if err := sink.onUnit(units[k], &outs[k]); err != nil {
 					return err
 				}
 			}
@@ -189,12 +213,14 @@ func (t *streamTally) apply(res *Result) {
 // instead of the whole materialized collection.
 //
 // Layer 5 of the funnel is corpus-wide, so one pass cannot classify:
-// pass one streams generation to harvest the calibration tallies and the
-// Layer 5 frequency tables; pass two regenerates the identical traffic
-// (generateUnit is a pure function of the unit and its PRNG sub-stream),
-// allocates the aggregate volumes in unit order, and replays the funnel
-// day by day against a fresh classifier with the harvested tables —
-// exactly the decomposition Classify performs in one sweep.
+// pass one streams generation to harvest the calibration tallies, the
+// Layer 5 frequency tables and each unit's ledger entry (volume and typo
+// flag); the aggregate volumes are then allocated in unit order, and
+// pass two regenerates the identical typo traffic of only the flagged
+// units (typoHalf is a pure function of the unit and its PRNG
+// sub-stream) and replays the funnel day by day against a fresh
+// classifier with the harvested tables — exactly the decomposition
+// Classify performs in one sweep.
 func (s *Study) runStreaming() (*Result, error) {
 	ourDomains := s.ourDomainSet()
 	start := simclock.CollectionStart
@@ -219,9 +245,15 @@ func (s *Study) runStreaming() (*Result, error) {
 	cls1 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
 	mainFreq := spamfilter.NewFreqTables()
 	emailsSeen := 0
+	ledger := newUnitLedger(s.unitCount())
+	unit := 0
 
-	err = s.streamChunks(q1, streamSink{
+	err = s.streamChunks(q1, nil, streamSink{
 		onUnit: func(u genUnit, out *unitResult) error {
+			if err := ledger.record(unit, out); err != nil {
+				return err
+			}
+			unit++
 			d := &s.Domains[u.di]
 			isTrap := d.Kind == KindSMTPTrap
 			// Calibration samples arrive nondecreasing in Received
@@ -278,8 +310,9 @@ func (s *Study) runStreaming() (*Result, error) {
 		}
 	}
 	calSurv, calFreq = nil, nil
+	s.allocateVolumes(res, ledger.volumes, cal)
 
-	// ---- Pass 2: allocate aggregates, replay the funnel.
+	// ---- Pass 2: replay the funnel over the regenerated typo traffic.
 	q2, err := newPendQueue(s.Cfg.SpillDir, "pass2", s.Cfg.SpillBudgetBytes)
 	if err != nil {
 		return nil, err
@@ -289,25 +322,8 @@ func (s *Study) runStreaming() (*Result, error) {
 	cls2 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
 	tally := newStreamTally(s.Cfg.Days)
 
-	err = s.streamChunks(q2, streamSink{
+	err = s.streamChunks(q2, ledger, streamSink{
 		onUnit: func(u genUnit, out *unitResult) error {
-			d := &s.Domains[u.di]
-			isTrap := d.Kind == KindSMTPTrap
-			when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
-			fSpam, fFilt, fEsc := calibFractions(cal[isTrap])
-			stats := res.PerDomain[d.Name]
-			stats.SpamYearly += out.volume * fSpam
-			stats.FilteredYearly += out.volume * fFilt
-			stats.SpamEscapedYearly += out.volume * fEsc
-			if isTrap {
-				res.SMTPSpamDaily.Add(when, out.volume*fSpam)
-				res.SMTPFilteredDaily.Add(when, out.volume*fFilt)
-				res.SMTPTrueDaily.Add(when, out.volume*fEsc)
-			} else {
-				res.ReceiverSpamDaily.Add(when, out.volume*fSpam)
-				res.ReceiverFilteredDaily.Add(when, out.volume*fFilt)
-				res.ReceiverTrueDaily.Add(when, out.volume*fEsc)
-			}
 			for _, se := range out.sched {
 				if err := q2.add(se.day, pendEmail{e: se.e, di: u.di, contaminant: se.contaminant}); err != nil {
 					return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,16 +10,27 @@ import (
 
 	"repro/internal/mailmsg"
 	"repro/internal/par"
+	"repro/internal/simclock"
 	"repro/internal/spamfilter"
 )
 
 // runConfig renders one study run's resultString under the given knobs.
 func runConfig(t *testing.T, cfg Config, workers int) string {
 	t.Helper()
+	return runDomains(t, cfg, workers, nil)
+}
+
+// runDomains is runConfig over the given study domains (nil keeps the
+// full registration).
+func runDomains(t *testing.T, cfg Config, workers int, domains []StudyDomain) string {
+	t.Helper()
 	par.SetWorkers(workers)
 	s, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if domains != nil {
+		s.Domains = domains
 	}
 	res, err := s.Run()
 	if err != nil {
@@ -70,6 +82,96 @@ func TestStreamingSeedEquivalence(t *testing.T) {
 			}
 		}
 	}
+	t.Run("sparse-typo", sparseTypoEquivalence)
+}
+
+// sparseTypoEquivalence pins pass two's typo-only regeneration at the
+// shapes that stress it: one-day chunks, chunks in which no unit
+// schedules typo traffic (so pass two seeds nothing in them), and
+// outages straddling chunk boundaries. Each must match the materialized
+// run byte for byte.
+func sparseTypoEquivalence(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 504
+	cfg.Days = 48
+	// Chunk boundaries at multiples of 4 and 8 fall inside both gaps.
+	cfg.Outages = [][2]int{{6, 10}, {22, 27}}
+
+	// The SMTP-trap domains see a few typo emails a month, so most of
+	// their units, and whole one- and two-day chunks, carry none.
+	var traps []StudyDomain
+	for _, d := range AllStudyDomains() {
+		if d.Kind == KindSMTPTrap {
+			traps = append(traps, d)
+		}
+	}
+	for _, domains := range [][]StudyDomain{nil, traps[:8]} {
+		ref := runDomains(t, cfg, 1, domains)
+		if domains != nil {
+			s, err := NewStudy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Domains = domains
+			quiet, busy := typoChunks(s, 2)
+			if quiet == 0 || busy == 0 {
+				t.Fatalf("%d domains: %d two-day chunks without typo traffic, %d with; want both",
+					len(domains), quiet, busy)
+			}
+		}
+		for _, tc := range []struct {
+			workers, chunkDays int
+			spill              bool
+		}{
+			{workers: 1, chunkDays: 1},
+			{workers: 8, chunkDays: 1},
+			{workers: 2, chunkDays: 2},
+			{workers: 2, chunkDays: 4, spill: true},
+			{workers: 8, chunkDays: 8},
+		} {
+			scfg := cfg
+			scfg.Streaming = true
+			scfg.StreamChunkDays = tc.chunkDays
+			if tc.spill {
+				scfg.SpillDir = t.TempDir()
+				scfg.SpillBudgetBytes = 1 << 12
+			}
+			if got := runDomains(t, scfg, tc.workers, domains); got != ref {
+				t.Fatalf("%d domains, workers=%d chunk=%d spill=%v: streaming result differs from materialized run",
+					len(domains), tc.workers, tc.chunkDays, tc.spill)
+			}
+		}
+	}
+}
+
+// typoChunks counts the chunkDays-sized chunks whose units schedule no
+// typo traffic (quiet) and those with some (busy), from a full
+// generation of every unit. Chunks made only of outage days are skipped.
+func typoChunks(s *Study, chunkDays int) (quiet, busy int) {
+	var units []genUnit
+	for day := 0; day < s.Cfg.Days; day++ {
+		if !s.inOutage(day) {
+			for di := range s.Domains {
+				units = append(units, genUnit{day: day, di: di})
+			}
+		}
+	}
+	typo := par.Map(par.SubSeed(s.Cfg.Seed, streamGenUnits), units,
+		func(_ int, u genUnit, rng *rand.Rand) bool {
+			return len(s.generateUnit(u, rng, simclock.CollectionStart).sched) > 0
+		})
+	chunkTypo := map[int]bool{}
+	for k, u := range units {
+		chunkTypo[u.day/chunkDays] = chunkTypo[u.day/chunkDays] || typo[k]
+	}
+	for _, has := range chunkTypo {
+		if has {
+			busy++
+		} else {
+			quiet++
+		}
+	}
+	return quiet, busy
 }
 
 // TestStreamingLogVaultEquivalence runs streaming mode against the

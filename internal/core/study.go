@@ -245,39 +245,65 @@ type schedEmail struct {
 // into the run's accumulators strictly in unit order, which is exactly
 // the order the old sequential day/domain loop appended in.
 type unitResult struct {
-	volume       float64
+	volume       int
 	samples      []*spamfilter.Email
 	sched        []schedEmail
 	persistence  []float64
 	episodeSizes []int
 }
 
+// spamDraws makes the spam half's only two draws from a unit's rng, in
+// order: the seed of the unit's private spam generator, then the
+// sampleCount dither. DayVolume and Materialize draw from the
+// generator's own stream, so the typo half's draws start right after
+// these two; part of the seed contract.
+func spamDraws(rng *rand.Rand) (genSeed int64, dither float64) {
+	genSeed = rng.Int63()
+	return genSeed, rng.Float64()
+}
+
 // generateUnit materializes one (day, domain) slice of traffic: the
 // aggregate spam volume with its sampled materialization, plus the 1:1
-// true typo traffic (receiver typos, contaminant scams, reflection and
-// SMTP episodes). Each unit owns a private spam generator seeded from
-// its stream, so the campaign draw is a pure function of the unit.
+// true typo traffic (typoHalf). Each unit owns a private spam generator
+// seeded from its stream, so the campaign draw is a pure function of
+// the unit.
 func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time) unitResult {
 	d := &s.Domains[u.di]
 	isTrap := d.Kind == KindSMTPTrap
 	when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
-	var out unitResult
 
 	// ---- Aggregate spam with sampled materialization. The sample runs
 	// through the real funnel later (including Layer 5); fractional
 	// sampling error is absorbed by the law of large numbers over
 	// 200 days x 76 domains.
-	spam := spamgen.New(spamgen.DefaultParams(), rng.Int63())
-	volume := spam.DayVolume(u.day, s.attractiveness(*d), isTrap)
-	out.volume = float64(volume)
-	if nSample := sampleCount(rng, volume, s.Cfg.SpamSampleDivisor); nSample > 0 {
+	genSeed, dither := spamDraws(rng)
+	spam := spamgen.New(spamgen.DefaultParams(), genSeed)
+	out := unitResult{volume: spam.DayVolume(u.day, s.attractiveness(*d), isTrap)}
+	if nSample := sampleCount(out.volume, s.Cfg.SpamSampleDivisor, dither); nSample > 0 {
 		out.samples = spam.Materialize(nSample, d.Name, isTrap)
 		for _, e := range out.samples {
 			e.Received = when
 		}
 	}
+	s.typoHalf(u, rng, start, &out)
+	return out
+}
 
-	// ---- True typo traffic, materialized 1:1.
+// generateTypo regenerates only a unit's typo traffic: it makes the
+// spam half's two draws and discards them, so the typo half sees the
+// same stream generateUnit gave it.
+func (s *Study) generateTypo(u genUnit, rng *rand.Rand, start time.Time) unitResult {
+	spamDraws(rng)
+	var out unitResult
+	s.typoHalf(u, rng, start, &out)
+	return out
+}
+
+// typoHalf materializes a unit's true typo traffic 1:1: receiver typos,
+// contaminant scams, reflection and SMTP episodes.
+func (s *Study) typoHalf(u genUnit, rng *rand.Rand, start time.Time, out *unitResult) {
+	d := &s.Domains[u.di]
+	when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
 	recvRate, reflRate, smtpRate := s.typoRatesPerDay(*d)
 	for n := spamgen.Poisson(rng, recvRate); n > 0; n-- {
 		out.sched = append(out.sched, schedEmail{e: s.buildReceiverTypo(rng, d, when), day: u.day})
@@ -310,7 +336,7 @@ func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time) unitRes
 		}
 	}
 	for n := spamgen.Poisson(rng, smtpRate); n > 0; n-- {
-		user := fmt.Sprintf("%s@%s", users.RandomLocalPart(rng), d.Target)
+		user := users.RandomLocalPart(rng) + "@" + d.Target
 		ep := users.SampleSMTPEpisode(rng, user)
 		out.persistence = append(out.persistence, ep.Persistence)
 		out.episodeSizes = append(out.episodeSizes, ep.Emails)
@@ -333,7 +359,6 @@ func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time) unitRes
 			out.sched = append(out.sched, schedEmail{e: e, day: dd})
 		}
 	}
-	return out
 }
 
 // ourDomainSet returns the registered-domain set the funnel checks
@@ -397,13 +422,6 @@ func (s *Study) Run() (*Result, error) {
 	// Materialized spam samples, classified post hoc so Layer 5 frequency
 	// filtering sees the repeats; aggregate volumes recorded for later
 	// allocation once the calibration fractions are known.
-	type volRec struct {
-		domain *StudyDomain
-		when   time.Time
-		volume float64
-		isTrap bool
-	}
-	volumes := make([]volRec, 0, s.Cfg.Days*len(s.Domains))
 	spamSamples := make([]*spamfilter.Email, 0, s.Cfg.Days*len(s.Domains))
 	sampleTrap := make(map[*spamfilter.Email]bool)
 
@@ -419,7 +437,7 @@ func (s *Study) Run() (*Result, error) {
 	// ---- Parallel generation: one unit per (non-outage day, domain),
 	// day-major so the merge below reproduces the sequential loop's
 	// append order exactly.
-	units := make([]genUnit, 0, s.Cfg.Days*len(s.Domains))
+	units := make([]genUnit, 0, s.unitCount())
 	for day := 0; day < s.Cfg.Days; day++ {
 		if s.inOutage(day) {
 			continue // the infrastructure was down; nothing recorded
@@ -434,16 +452,18 @@ func (s *Study) Run() (*Result, error) {
 		})
 
 	// ---- Ordered merge, identical to the sequential interleaving.
+	ledger := newUnitLedger(len(units))
 	for k, u := range units {
 		out := unitOut[k]
+		if err := ledger.record(k, &out); err != nil {
+			return nil, err
+		}
 		d := &s.Domains[u.di]
 		isTrap := d.Kind == KindSMTPTrap
-		when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
 		for _, e := range out.samples {
 			sampleTrap[e] = isTrap
 		}
 		spamSamples = append(spamSamples, out.samples...)
-		volumes = append(volumes, volRec{domain: d, when: when, volume: out.volume, isTrap: isTrap})
 		for _, se := range out.sched {
 			pending[se.day] = append(pending[se.day], se.e)
 			typoMeta[se.e] = d
@@ -492,25 +512,7 @@ func (s *Study) Run() (*Result, error) {
 			c.escaped++
 		}
 	}
-	// Allocate the aggregates. The escaped sliver lands among the "true
-	// typo" survivors — the contamination the paper's manual analysis
-	// measured at ~20% of survivors.
-	for _, v := range volumes {
-		fSpam, fFilt, fEsc := calibFractions(cal[v.isTrap])
-		stats := res.PerDomain[v.domain.Name]
-		stats.SpamYearly += v.volume * fSpam
-		stats.FilteredYearly += v.volume * fFilt
-		stats.SpamEscapedYearly += v.volume * fEsc
-		if v.isTrap {
-			res.SMTPSpamDaily.Add(v.when, v.volume*fSpam)
-			res.SMTPFilteredDaily.Add(v.when, v.volume*fFilt)
-			res.SMTPTrueDaily.Add(v.when, v.volume*fEsc)
-		} else {
-			res.ReceiverSpamDaily.Add(v.when, v.volume*fSpam)
-			res.ReceiverFilteredDaily.Add(v.when, v.volume*fFilt)
-			res.ReceiverTrueDaily.Add(v.when, v.volume*fEsc)
-		}
-	}
+	s.allocateVolumes(res, ledger.volumes, cal)
 
 	// Full funnel (including Layer 5 frequencies) over materialized
 	// typo-candidate traffic.
@@ -545,14 +547,96 @@ func (s *Study) Run() (*Result, error) {
 }
 
 // sampleCount converts an aggregate volume to a sampled count of
-// one-in-divisor, dithering the remainder so small volumes still get
-// proportional representation.
-func sampleCount(rng *rand.Rand, volume, divisor int) int {
+// one-in-divisor, dithering the remainder with a uniform draw in [0, 1)
+// so small volumes still get proportional representation.
+func sampleCount(volume, divisor int, dither float64) int {
 	n := volume / divisor
-	if rng.Float64() < float64(volume%divisor)/float64(divisor) {
+	if dither < float64(volume%divisor)/float64(divisor) {
 		n++
 	}
 	return n
+}
+
+// unitCount is the number of generation units: one per study domain on
+// every non-outage day.
+func (s *Study) unitCount() int {
+	n := 0
+	for day := 0; day < s.Cfg.Days; day++ {
+		if !s.inOutage(day) {
+			n += len(s.Domains)
+		}
+	}
+	return n
+}
+
+// unitLedger is what a run keeps of every generation unit once its
+// traffic has been merged, indexed by global unit index: the spam volume
+// and whether the unit scheduled any typo traffic. That is ~4.1 bytes
+// per unit (~63 KB at the paper's 15,200 units), all the allocation and
+// the streaming run's second pass need.
+type unitLedger struct {
+	// volumes holds DayVolume's count. Its Poisson mean is at most
+	// ~3.5e4 before the lognormal burst noise, and even math/rand's
+	// largest NormFloat64 (< 17) keeps the count below 2e8, so it fits
+	// uint32; record rejects anything that does not, rather than wrap.
+	volumes []uint32
+	typo    []uint64 // bit k set: unit k scheduled typo traffic
+}
+
+func newUnitLedger(units int) *unitLedger {
+	return &unitLedger{volumes: make([]uint32, units), typo: make([]uint64, (units+63)/64)}
+}
+
+// record stores unit k's volume and typo flag.
+func (l *unitLedger) record(k int, out *unitResult) error {
+	if out.volume < 0 || out.volume > math.MaxUint32 {
+		return fmt.Errorf("core: unit %d spam volume %d does not fit the unit ledger", k, out.volume)
+	}
+	l.volumes[k] = uint32(out.volume)
+	if len(out.sched) > 0 {
+		l.typo[k/64] |= 1 << (k % 64)
+	}
+	return nil
+}
+
+// hasTypo reports whether unit k scheduled typo traffic.
+func (l *unitLedger) hasTypo(k int) bool { return l.typo[k/64]&(1<<(k%64)) != 0 }
+
+// allocateVolumes spreads every unit's aggregate spam volume over the
+// funnel outcomes by the calibrated fractions, in unit order. The
+// escaped sliver lands among the "true typo" survivors — the
+// contamination the paper's manual analysis measured at ~20% of
+// survivors. Both run modes call it before any classification count
+// lands, so each accumulator sees "volume adds, then unit increments".
+func (s *Study) allocateVolumes(res *Result, volumes []uint32, cal map[bool]*spamCalib) {
+	start := simclock.CollectionStart
+	k := 0
+	for day := 0; day < s.Cfg.Days; day++ {
+		if s.inOutage(day) {
+			continue
+		}
+		when := start.Add(time.Duration(day)*24*time.Hour + 12*time.Hour)
+		for di := range s.Domains {
+			d := &s.Domains[di]
+			volume := float64(volumes[k])
+			k++
+			isTrap := d.Kind == KindSMTPTrap
+			fSpam, fFilt, fEsc := calibFractions(cal[isTrap])
+			stats := res.PerDomain[d.Name]
+			stats.SpamYearly += volume * fSpam
+			stats.FilteredYearly += volume * fFilt
+			stats.SpamEscapedYearly += volume * fEsc
+			if isTrap {
+				res.SMTPSpamDaily.Add(when, volume*fSpam)
+				res.SMTPFilteredDaily.Add(when, volume*fFilt)
+				res.SMTPTrueDaily.Add(when, volume*fEsc)
+			} else {
+				res.ReceiverSpamDaily.Add(when, volume*fSpam)
+				res.ReceiverFilteredDaily.Add(when, volume*fFilt)
+				res.ReceiverTrueDaily.Add(when, volume*fEsc)
+			}
+		}
+	}
 }
 
 // spamCalib accumulates funnel verdicts over materialized spam samples;

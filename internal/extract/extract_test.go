@@ -1,8 +1,13 @@
 package extract
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +30,76 @@ func TestSDOCRoundTrip(t *testing.T) {
 	}
 	if got != text {
 		t.Errorf("SDOC round trip = %q", got)
+	}
+}
+
+// freshSDOC is BuildSDOC with a new flate writer per document: the
+// reference the pooled writers must reproduce byte for byte.
+func freshSDOC(text string) []byte {
+	var body bytes.Buffer
+	w, _ := flate.NewWriter(&body, flate.BestSpeed)
+	w.Write([]byte(text))
+	w.Close()
+	out := append([]byte{}, magicSDOC...)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(text)))
+	return append(out, body.Bytes()...)
+}
+
+// sdocTexts are the pool test's documents: empty, short, and one 64 KiB
+// text that fills a whole flate block, so a recycled writer has real
+// window and match state to carry over if Reset failed to clear it.
+func sdocTexts() []string {
+	var big strings.Builder
+	for i := 0; big.Len() < 64<<10; i++ {
+		fmt.Fprintf(&big, "line %d: account %08x, amount %d.%02d\n", i, i*2654435761, i%977, i%100)
+	}
+	return []string{"", "Amex 371385129301004 Exp 06/03\n", big.String()[:64<<10], "x"}
+}
+
+// TestSDOCPooledWriterMatchesFresh pins that recycling flate writers
+// does not change a single output byte, whatever document the pooled
+// writer packed before, including from concurrent goroutines.
+func TestSDOCPooledWriterMatchesFresh(t *testing.T) {
+	texts := sdocTexts()
+	want := make([][]byte, len(texts))
+	for i, text := range texts {
+		want[i] = freshSDOC(text)
+	}
+	check := func(round, i int) error {
+		if got := BuildSDOC(texts[i]); !bytes.Equal(got, want[i]) {
+			return fmt.Errorf("round %d text %d (%d bytes): pooled SDOC differs from a fresh writer's", round, i, len(texts[i]))
+		}
+		return nil
+	}
+	for round := 0; round < 3; round++ {
+		for i := range texts {
+			if err := check(round, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				// Each goroutine visits the texts in its own order, so
+				// writers change hands between different documents.
+				if err := check(round, (round+g)%len(texts)); err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
 	}
 }
 

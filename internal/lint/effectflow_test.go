@@ -551,6 +551,8 @@ internal/par.MapAt: Blocking{chan,lock}
 internal/par.MapAt.func1: pure
 internal/par.MapErr: Blocking{chan,lock}
 internal/par.MapErr.func1: pure
+internal/par.MapSparse: Blocking{chan,lock}
+internal/par.MapSparse.func1: pure
 internal/par.NumWorkers: pure
 internal/par.Rand: pure
 internal/par.SetWorkers: pure

@@ -78,7 +78,7 @@ func Rand(seed int64, index int) *rand.Rand {
 // be kept after fn returns.
 func Map[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
 	out := make([]R, len(items))
-	run(seed, 0, len(items), func(i int, rng *rand.Rand) {
+	run(seed, 0, nil, len(items), func(i int, rng *rand.Rand) {
 		out[i] = fn(i, items[i], rng)
 	})
 	return out
@@ -94,8 +94,27 @@ func Map[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand)
 // Map's: it must not be kept after fn returns.
 func MapAt[T, R any](seed int64, base int, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
 	out := make([]R, len(items))
-	run(seed, base, len(items), func(i int, rng *rand.Rand) {
+	run(seed, base, nil, len(items), func(i int, rng *rand.Rand) {
 		out[i] = fn(base+i, items[i], rng)
+	})
+	return out
+}
+
+// MapSparse is MapAt for a scattered subset of a larger logical item
+// sequence: item i of items is treated as global item keys[i], and
+// receives Rand(seed, keys[i]). Streaming callers that revisit only some
+// items of a chunk pass those items' global indexes as keys; each item
+// draws exactly what it drew under Map or MapAt over the whole sequence,
+// and items not listed are never seeded. fn receives the GLOBAL index.
+// keys and items must have the same length. The rng's lifetime is Map's:
+// it must not be kept after fn returns.
+func MapSparse[T, R any](seed int64, keys []int, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
+	if len(keys) != len(items) {
+		panic("par: MapSparse needs one key per item")
+	}
+	out := make([]R, len(items))
+	run(seed, 0, keys, len(items), func(i int, rng *rand.Rand) {
+		out[i] = fn(keys[i], items[i], rng)
 	})
 	return out
 }
@@ -109,7 +128,7 @@ func MapAt[T, R any](seed int64, base int, items []T, fn func(i int, item T, rng
 func MapErr[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	errs := make([]error, len(items))
-	run(seed, 0, len(items), func(i int, rng *rand.Rand) {
+	run(seed, 0, nil, len(items), func(i int, rng *rand.Rand) {
 		out[i], errs[i] = fn(i, items[i], rng)
 	})
 	for _, err := range errs {
@@ -121,11 +140,12 @@ func MapErr[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Ra
 }
 
 // run executes do(0..n-1) on min(NumWorkers, n) workers and joins them
-// before returning. Each worker owns one PRNG and re-seeds it with
-// SubSeed(seed, base+i) before item i: Rand.Seed resets both the source
-// and the Rand's read buffer, so item i draws exactly what a fresh
-// Rand(seed, base+i) would, without allocating a ~5 KB source per item.
-func run(seed int64, base, n int, do func(i int, rng *rand.Rand)) {
+// before returning. Item i is global item keys[i], or base+i when keys
+// is nil. Each worker owns one PRNG and re-seeds it with SubSeed(seed,
+// global index) before item i: Rand.Seed resets both the source and the
+// Rand's read buffer, so item i draws exactly what a fresh Rand(seed,
+// global index) would, without allocating a ~5 KB source per item.
+func run(seed int64, base int, keys []int, n int, do func(i int, rng *rand.Rand)) {
 	w := NumWorkers()
 	if w > n {
 		w = n
@@ -133,7 +153,11 @@ func run(seed int64, base, n int, do func(i int, rng *rand.Rand)) {
 	if w <= 1 {
 		rng := rand.New(rand.NewSource(0))
 		for i := 0; i < n; i++ {
-			rng.Seed(SubSeed(seed, base+i))
+			g := base + i
+			if keys != nil {
+				g = keys[i]
+			}
+			rng.Seed(SubSeed(seed, g))
 			do(i, rng)
 		}
 		return
@@ -146,7 +170,11 @@ func run(seed int64, base, n int, do func(i int, rng *rand.Rand)) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(0))
 			for i := range idx {
-				rng.Seed(SubSeed(seed, base+i))
+				g := base + i
+				if keys != nil {
+					g = keys[i]
+				}
+				rng.Seed(SubSeed(seed, g))
 				do(i, rng)
 			}
 		}()

@@ -237,3 +237,65 @@ func TestWorkerRandEqualsFreshRand(t *testing.T) {
 		}
 	}
 }
+
+// TestMapSparseEqualsFreshRand pins MapSparse's seed contract: item i
+// draws exactly what a fresh Rand(seed, keys[i]) draws and sees keys[i]
+// as its index, for empty and non-contiguous keys at any worker count.
+func TestMapSparseEqualsFreshRand(t *testing.T) {
+	const seed = 20160604
+	for _, keys := range [][]int{nil, {}, {5}, {0, 2, 3, 17, 64, 65, 1000, 4093}} {
+		items := make([]int, len(keys))
+		for i := range items {
+			items[i] = i * 7
+		}
+		for _, w := range []int{1, 2, 8} {
+			var got [][]uint64
+			var idx, seen []int
+			withWorkers(w, func() {
+				got = MapSparse(seed, keys, items, func(i, _ int, rng *rand.Rand) []uint64 { return draws(rng) })
+				idx = MapSparse(seed, keys, items, func(i, _ int, _ *rand.Rand) int { return i })
+				seen = MapSparse(seed, keys, items, func(_, item int, _ *rand.Rand) int { return item })
+			})
+			if len(got) != len(keys) {
+				t.Fatalf("keys=%v workers=%d: %d results, want %d", keys, w, len(got), len(keys))
+			}
+			for k, g := range got {
+				if want := draws(Rand(seed, keys[k])); fmt.Sprint(g) != fmt.Sprint(want) {
+					t.Fatalf("keys=%v workers=%d item %d: worker rng diverges from Rand(seed, %d)", keys, w, k, keys[k])
+				}
+				if idx[k] != keys[k] || seen[k] != items[k] {
+					t.Fatalf("keys=%v workers=%d item %d: fn saw index %d item %d, want %d and %d",
+						keys, w, k, idx[k], seen[k], keys[k], items[k])
+				}
+			}
+		}
+	}
+}
+
+// TestMapSparseMatchesMapAt checks that mapping a subset of a window with
+// MapSparse gives each listed item exactly its MapAt result.
+func TestMapSparseMatchesMapAt(t *testing.T) {
+	items := make([]int, 97)
+	for i := range items {
+		items[i] = i
+	}
+	fn := func(i, item int, rng *rand.Rand) string {
+		return fmt.Sprintf("%d:%d:%d:%d", i, item, rng.Int63(), rng.Intn(97))
+	}
+	const base = 300
+	var all []string
+	withWorkers(1, func() { all = MapAt(11, base, items, fn) })
+	var keys, sub []int
+	for i := 0; i < len(items); i += 3 + i%5 {
+		keys, sub = append(keys, base+i), append(sub, items[i])
+	}
+	for _, w := range []int{1, 3, 8} {
+		var got []string
+		withWorkers(w, func() { got = MapSparse(11, keys, sub, fn) })
+		for k, g := range got {
+			if want := all[keys[k]-base]; g != want {
+				t.Fatalf("workers=%d key %d: %q, want MapAt's %q", w, keys[k], g, want)
+			}
+		}
+	}
+}
